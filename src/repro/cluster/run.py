@@ -41,7 +41,7 @@ from repro.errors import ConfigError
 from repro.obs.events import RangeMigrated
 from repro.serve.arrivals import Request
 from repro.serve.result import ServeResult
-from repro.serve.service import ServeSession, finalize_serve
+from repro.serve.service import ServeSession, finalize_serve, serve_arrivals
 from repro.sim.sweep import SWEEP_SCHEMA_VERSION, run_sweep
 
 
@@ -160,8 +160,10 @@ def run_coordinated(
             for key in range(config.unique_keys):
                 oracle.put(key, 0)
         observer = OracleObserver(oracle)
+    # One stream for the whole run; each shard keeps its routed part.
+    arrivals = serve_arrivals(spec.service_spec())
     sessions = [
-        prepare_shard(spec, shard, observer=observer)
+        prepare_shard(spec, shard, observer=observer, arrivals=arrivals)
         for shard in range(spec.num_shards)
     ]
     if attach is not None:

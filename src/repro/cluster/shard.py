@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from repro.cluster.spec import ClusterSpec
 from repro.errors import ConfigError
+from repro.serve.arrivals import Request
 from repro.serve.result import ServeResult
 from repro.serve.service import (
     DispatchObserver,
@@ -76,6 +77,7 @@ def prepare_shard(
     cluster: ClusterSpec,
     shard: int,
     observer: DispatchObserver | None = None,
+    arrivals: list[Request] | None = None,
 ) -> ServeSession:
     """Wire one shard's serve session with its ownership filters.
 
@@ -83,7 +85,9 @@ def prepare_shard(
     the request filter follows the split-aware request router, so a
     scheduled split's post-split arrivals already land on the target
     shard.  With one shard both filters pass everything and the session
-    is exactly the single-engine serve session.
+    is exactly the single-engine serve session.  ``arrivals`` is the
+    cluster's whole stream when the caller generated it once for every
+    shard; otherwise the shard generates its own.
     """
     config = cluster.config()
     initial = cluster.router(config)
@@ -94,6 +98,7 @@ def prepare_shard(
         keep=lambda request: route(request) == shard,
         observer=observer,
         shard=shard,
+        arrivals=arrivals,
     )
 
 

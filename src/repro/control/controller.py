@@ -151,7 +151,7 @@ class Controller:
             queue_depth=depth,
             queue_fraction=depth / bound,
             stall_delta_s=stall_delta,
-            recent_stall_s=sim._recent_stall_s(),
+            recent_stall_s=sim.recent_stall_s,
             hit_ratio=hit_ratio,
             completed_delta=completed_delta,
             deferred_delta=deferred_delta,

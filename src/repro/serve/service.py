@@ -132,6 +132,8 @@ class ServiceSimulator:
         self._retry_heap: list[tuple[float, int, Request]] = []
         #: (tick, stall seconds accrued that tick) for the admission window.
         self._stall_window: deque[tuple[int, float]] = deque()
+        #: The window's sum, recomputed once per tick after the trim.
+        self._stall_window_sum = 0.0
         self._read_debt = 0.0
         self._arrival_cursor = 0
         self._completed_count = 0
@@ -192,6 +194,11 @@ class ServiceSimulator:
         cutoff = now - self.admission.policy.stall_window_s
         while self._stall_window and self._stall_window[0][0] <= cutoff:
             self._stall_window.popleft()
+        # A fresh left-to-right sum, not a running add/subtract: the
+        # latter rounds differently and would flip admission decisions.
+        self._stall_window_sum = sum(
+            stall for _, stall in self._stall_window
+        )
         controller = self.controller
         if (
             controller is not None
@@ -244,6 +251,11 @@ class ServiceSimulator:
         """The in-flight result between begin() and finish() (live views)."""
         return self._result
 
+    @property
+    def recent_stall_s(self) -> float:
+        """Stall seconds over the admission window, as of the last step()."""
+        return self._stall_window_sum
+
     def _class_ops(self) -> list[tuple[str, str]]:
         seen: dict[str, str] = {}
         for request in self.arrivals:
@@ -295,9 +307,7 @@ class ServiceSimulator:
             raise EngineError("adopt_pending() before begin()")
         adopted = 0
         for request in queued:
-            stats = result.class_stats.setdefault(
-                request.klass, ClassStats(op=request.op)
-            )
+            stats = self._class_ledger(request, result)
             if self.scheduler.offer(request):
                 adopted += 1
                 depth = len(self.scheduler)
@@ -320,8 +330,19 @@ class ServiceSimulator:
     # ------------------------------------------------------------------
     # Ingestion: arrivals + due retries through admission control.
     # ------------------------------------------------------------------
-    def _recent_stall_s(self) -> float:
-        return sum(stall for _, stall in self._stall_window)
+    @staticmethod
+    def _class_ledger(request: Request, result: ServeResult) -> ClassStats:
+        """The request's class ledger.
+
+        begin() creates one per class in the arrivals, so one is built
+        here only for a class first seen through migration.
+        """
+        stats = result.class_stats.get(request.klass)
+        if stats is None:
+            stats = result.class_stats[request.klass] = ClassStats(
+                op=request.op
+            )
+        return stats
 
     def _ingest(self, now: int, result: ServeResult) -> int:
         """Offer this second's arrivals and due retries; returns arrivals."""
@@ -358,15 +379,13 @@ class ServiceSimulator:
     def _offer(
         self, request: Request, result: ServeResult, is_retry: bool
     ) -> None:
-        stats = result.class_stats.setdefault(
-            request.klass, ClassStats(op=request.op)
-        )
+        stats = self._class_ledger(request, result)
         if is_retry:
             stats.retried += 1
         else:
             stats.arrived += 1
         action, reason = self.admission.decide(
-            request, len(self.scheduler), self._recent_stall_s()
+            request, len(self.scheduler), self.recent_stall_s
         )
         if action == DEFER:
             request.retries += 1
@@ -591,12 +610,34 @@ class ServeSession:
     duration_s: int
 
 
+def _duration_s(spec: ServiceSpec, config: SystemConfig) -> int:
+    return spec.duration_s if spec.duration_s is not None else config.duration_s
+
+
+def serve_arrivals(spec: ServiceSpec) -> list[Request]:
+    """Generate a spec's whole (unfiltered) arrival stream.
+
+    The one place the serve tier calls :func:`generate_arrivals`: a
+    coordinated cluster run generates its stream here once and hands it
+    to every shard's :func:`prepare_serve`.
+    """
+    config = spec.config()
+    return generate_arrivals(
+        spec.client_classes(config),
+        config,
+        RangeHotWorkload(config),
+        _duration_s(spec, config),
+        spec.seed,
+    )
+
+
 def prepare_serve(
     spec: ServiceSpec,
     owned: Callable[[int], bool] | None = None,
     keep: Callable[[Request], bool] | None = None,
     observer: DispatchObserver | None = None,
     shard: int | None = None,
+    arrivals: list[Request] | None = None,
 ) -> ServeSession:
     """Build the engine stack and arrival stream for one serve run.
 
@@ -608,7 +649,10 @@ def prepare_serve(
     and crucially the arrival stream is *generated whole and then
     filtered*, so request seqs, timestamps and key choices are identical
     across every shard count (a request routes somewhere, never
-    changes).
+    changes).  ``arrivals`` is that whole stream when the caller already
+    generated it (:func:`serve_arrivals`); otherwise it is generated
+    here.  ``keep`` must route each request to one session only, since
+    requests are mutable (``retries``).
     """
     from repro.sim.experiment import build_engine
 
@@ -629,8 +673,9 @@ def prepare_serve(
             if owned is None or owned(key):
                 setup.engine.get(key)
     classes = spec.client_classes(config)
-    duration = spec.duration_s if spec.duration_s is not None else config.duration_s
-    arrivals = generate_arrivals(classes, config, workload, duration, spec.seed)
+    duration = _duration_s(spec, config)
+    if arrivals is None:
+        arrivals = serve_arrivals(spec)
     if keep is not None:
         arrivals = [request for request in arrivals if keep(request)]
     scheduler = make_scheduler(spec.policy, spec.queue_bound, classes)

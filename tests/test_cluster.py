@@ -200,6 +200,36 @@ class TestShardSplit:
         )
         assert route(outside) == 0
 
+    def test_arrival_stream_generated_once_and_partitioned(
+        self, monkeypatch
+    ):
+        import repro.serve.service as service
+
+        streams = []
+        generate = service.generate_arrivals
+
+        def counting_generate(*args, **kwargs):
+            streams.append(generate(*args, **kwargs))
+            return streams[-1]
+
+        monkeypatch.setattr(service, "generate_arrivals", counting_generate)
+        spec = cluster_spec(verify=True, **self.SPLIT_PARAMS)
+        arrivals = {}
+        run_coordinated(
+            spec,
+            attach=lambda session, shard: arrivals.__setitem__(
+                shard, list(session.simulator.arrivals)
+            ),
+        )
+        assert len(streams) == 1
+        route = spec.request_router(spec.config())
+        for shard in range(spec.num_shards):
+            expected = [r for r in streams[0] if route(r) == shard]
+            assert expected
+            assert [
+                (r.seq, r.key, r.arrival_s) for r in arrivals[shard]
+            ] == [(r.seq, r.key, r.arrival_s) for r in expected]
+
     def test_split_scheduled_past_the_end_is_an_error(self):
         spec = cluster_spec(**dict(self.SPLIT_PARAMS, split_at_s=400))
         with pytest.raises(ConfigError, match="outside the run"):

@@ -16,11 +16,12 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import ConfigError
+from repro.obs.metrics import Reservoir
 from repro.serve.admission import ADMIT, DEFER, SHED, AdmissionController, AdmissionPolicy
 from repro.serve.arrivals import ClientClass, Request, generate_arrivals
 from repro.serve.result import ServeResult
 from repro.serve.scheduler import make_scheduler
-from repro.serve.service import execute_serve
+from repro.serve.service import execute_serve, prepare_serve
 from repro.serve.spec import ServiceSpec, expand_serve_grid
 from repro.sim.experiment import build_engine
 from repro.sim.sweep import run_sweep
@@ -302,6 +303,55 @@ class TestServeEndToEnd:
         f = fifo.class_stats["readers"].latency_s.percentile(99)
         p = prio.class_stats["readers"].latency_s.percentile(99)
         assert p <= f
+
+
+class TestIngestCost:
+    """The ingest path does O(1) work per offer."""
+
+    def test_offers_build_no_reservoirs(self, monkeypatch):
+        session = prepare_serve(
+            ServiceSpec(
+                engine="lsbm", base="tiny", scale=0, duration_s=400,
+                read_rate_qps=3.0, arrival="bursty", write_rate_qps=24.0,
+                queue_bound=16, max_retries=1,
+            )
+        )
+        simulator = session.simulator
+        simulator.begin(session.duration_s)
+        built = []
+        init = Reservoir.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Reservoir, "__init__", counting_init)
+        for _ in range(session.duration_s):
+            simulator.step()
+        result = simulator.finish()
+        assert result.total_deferred > 0
+        assert sum(s.retried for s in result.class_stats.values()) > 0
+        assert built == []
+
+    def test_cached_stall_sum_matches_window_after_every_step(self):
+        session = prepare_serve(
+            ServiceSpec(
+                engine="lsbm", scale=8192, duration_s=300,
+                read_rate_qps=30_000.0, write_rate_qps=60_000.0,
+                arrival="bursty", controller="rules", control_interval_s=20,
+            )
+        )
+        simulator = session.simulator
+        simulator.begin(session.duration_s)
+        stalled = 0
+        for _ in range(session.duration_s):
+            simulator.step()
+            expected = sum(s for _, s in simulator._stall_window)
+            assert repr(simulator.recent_stall_s) == repr(expected)
+            stalled += expected > 0
+        result = simulator.finish()
+        assert stalled > 0
+        assert result.control_decisions
 
 
 class TestServiceSpec:
