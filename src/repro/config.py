@@ -350,6 +350,13 @@ class SystemConfig:
             raise ConfigError("cache must hold at least one block")
         if self.unique_keys < 1:
             raise ConfigError("unique_keys must be >= 1")
+        if self.scan_length_pairs > self.unique_keys:
+            # A range query could not fit in the key space: its low key
+            # would go negative and scans would silently come up short.
+            raise ConfigError(
+                f"scan_length_pairs ({self.scan_length_pairs}) must not "
+                f"exceed unique_keys ({self.unique_keys})"
+            )
         if not 0.0 < self.hot_range_fraction <= 1.0:
             raise ConfigError("hot_range_fraction must be in (0, 1]")
         if not 0.0 <= self.hot_read_fraction <= 1.0:

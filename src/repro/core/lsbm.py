@@ -494,7 +494,7 @@ class LSbMTree(BLSMTree):
                     buffer_complete=self._draining_covers[level],
                     complement=self.buffer[level + 1].incoming,
                 )
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
+        entries = list(merge_entries(sources, drop_tombstones=True))
         return ScanResult(entries, cost)
 
     def _scan_component(
@@ -540,12 +540,12 @@ class LSbMTree(BLSMTree):
         if buffer_groups is not None:
             # Served by the buffer lists: one disk run per Bij touched.
             for group in buffer_groups:
-                sources.extend(self._scan_table_files(group, low, high, cost))
+                sources.append(self._scan_table_files(group, low, high, cost))
         else:
             # Served by the underlying run (plus its drained complement):
             # each is one contiguous sorted table.
             for group in (run_files, complement_files):
                 if group:
-                    sources.extend(
+                    sources.append(
                         self._scan_table_files(group, low, high, cost)
                     )

@@ -540,41 +540,6 @@ class LSMEngine(ABC):
             cost.false_positive_blocks += 1
         return entry
 
-    def _scan_file(
-        self, file: SSTableFile, low: int, high: int, cost: ReadCost
-    ) -> tuple[list[Entry], int]:
-        """Read ``file``'s entries in range; returns (entries, uncached).
-
-        Blocks are pulled through the cache; the caller aggregates the
-        uncached blocks of one *sorted table* into a single sequential run
-        (:meth:`_charge_scan_run`) — files of a run sit contiguously, so a
-        range query pays one seek per sorted table touched, the cost model
-        behind the paper's range-query analysis (Section III).
-        """
-        blocks = file.blocks_overlapping(low, high)
-        if not blocks:
-            return [], 0
-        entries: list[Entry] = []
-        uncached = 0
-        for block in blocks:
-            if self.db_cache is not None:
-                if self.db_cache.access(file.file_id, block.index):
-                    cost.cache_hit_blocks += 1
-                else:
-                    uncached += 1
-            elif self.os_cache is not None:
-                address = (
-                    file.extent.start + block.index * self.config.block_size_kb
-                )
-                if self.os_cache.read(address):
-                    cost.os_hit_blocks += 1
-                else:
-                    uncached += 1
-            else:
-                uncached += 1
-            entries.extend(block.entries_in_range(low, high))
-        return entries, uncached
-
     def _charge_scan_run(self, uncached_blocks: int, cost: ReadCost) -> None:
         """Charge one sorted table's uncached scan blocks: 1 seek + stream."""
         if uncached_blocks <= 0:
@@ -590,17 +555,54 @@ class LSMEngine(ABC):
         low: int,
         high: int,
         cost: ReadCost,
-    ) -> list[list[Entry]]:
-        """Scan one sorted table's overlapping files as a single disk run."""
-        sources: list[list[Entry]] = []
-        uncached_total = 0
+    ) -> list[Entry]:
+        """Read one sorted table's entries in ``[low, high]`` as one source.
+
+        ``files`` are the table's overlapping files: disjoint and in key
+        order, so their in-range entries concatenate into one sorted
+        source.  Blocks are pulled through the cache — on the DB-cache
+        path as one :meth:`~repro.cache.db_cache.DBBufferCache.access_many`
+        batch in block order — and the table's uncached blocks are charged
+        as a single sequential run (:meth:`_charge_scan_run`): files of a
+        run sit contiguously, so a range query pays one seek per sorted
+        table touched, the cost model behind the paper's range-query
+        analysis (Section III).
+        """
+        db_cache = self.db_cache
+        os_cache = self.os_cache
+        block_size_kb = self.config.block_size_kb
+        entries: list[Entry] = []
+        block_keys: list[tuple[int, int]] = []
+        uncached = 0
         for file in files:
-            entries, uncached = self._scan_file(file, low, high, cost)
-            uncached_total += uncached
-            if entries:
-                sources.append(entries)
-        self._charge_scan_run(uncached_total, cost)
-        return sources
+            if file.removed:
+                file._check_not_removed()
+            start = bisect_left(file._block_max_keys, low)
+            for block in file._blocks[start:]:
+                if block.min_key > high:
+                    break
+                keys = block._keys
+                entries.extend(
+                    block._entries[
+                        bisect_left(keys, low) : bisect_left(keys, high + 1)
+                    ]
+                )
+                if db_cache is not None:
+                    block_keys.append((file.file_id, block.index))
+                elif os_cache is not None:
+                    address = file.extent.start + block.index * block_size_kb
+                    if os_cache.read(address):
+                        cost.os_hit_blocks += 1
+                    else:
+                        uncached += 1
+                else:
+                    uncached += 1
+        if block_keys:
+            hits = db_cache.access_many(block_keys)  # type: ignore[union-attr]
+            cost.cache_hit_blocks += hits
+            uncached += len(block_keys) - hits
+        self._charge_scan_run(uncached, cost)
+        return entries
 
     # ------------------------------------------------------------------
     # Compaction primitives (shared).

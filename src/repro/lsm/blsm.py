@@ -238,8 +238,8 @@ class BLSMTree(LSMEngine):
             if not overlapping:
                 continue
             cost.tables_checked += 1
-            sources.extend(self._scan_table_files(overlapping, low, high, cost))
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
+            sources.append(self._scan_table_files(overlapping, low, high, cost))
+        entries = list(merge_entries(sources, drop_tombstones=True))
         return ScanResult(entries, cost)
 
     def _all_runs(self) -> list[SortedTable]:

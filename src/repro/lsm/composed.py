@@ -491,10 +491,10 @@ class ComposedTree(LSMEngine):
                 if not overlapping:
                     continue
                 cost.tables_checked += 1
-                sources.extend(
+                sources.append(
                     self._scan_table_files(overlapping, low, high, cost)
                 )
-        entries = [e for e in merge_entries(sources) if not e.is_tombstone]  # type: ignore[arg-type]
+        entries = list(merge_entries(sources, drop_tombstones=True))
         return ScanResult(entries, cost)
 
     # ------------------------------------------------------------------

@@ -150,10 +150,8 @@ class LevelDBTree(LSMEngine):
             if not files:
                 continue
             cost.tables_checked += 1
-            sources.extend(self._scan_table_files(files, low, high, cost))
-        entries = [
-            e for e in merge_entries(sources) if not e.is_tombstone  # type: ignore[arg-type]
-        ]
+            sources.append(self._scan_table_files(files, low, high, cost))
+        entries = list(merge_entries(sources, drop_tombstones=True))
         return ScanResult(entries, cost)
 
     # ------------------------------------------------------------------

@@ -182,13 +182,16 @@ class SortedTable:
         """All files intersecting ``[low, high]`` in key order."""
         if high < low:
             return []
-        position = bisect_left(self._max_keys, low)
-        result: list[SSTableFile] = []
-        for file in self._files[position:]:
-            if file.min_key > high:
-                break
-            result.append(file)
-        return result
+        max_keys = self._max_keys
+        start = bisect_left(max_keys, low)
+        # Files are disjoint and sorted, so the overlap is one slice.  It
+        # ends at the first file reaching ``high``, which belongs to it
+        # when it starts at or below ``high``; every later file starts
+        # past that file's max key.
+        end = bisect_left(max_keys, high, start)
+        if end < len(max_keys) and self._files[end].min_key <= high:
+            end += 1
+        return self._files[start:end]
 
     def entries(self) -> Iterator[Entry]:
         """All live entries in key order (skips removed markers)."""

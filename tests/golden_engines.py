@@ -8,10 +8,19 @@ event stream.  ``tests/golden_engine_digests.json`` pins SHA-256 digests
 of both, recorded from the pre-refactor tree; ``test_design_space.py``
 replays the same driver runs and compares digests.
 
+The point digests exercise point reads only.  A second leg,
+``tests/golden_scan_digests.json``, pins the same recipe in
+``scan_mode`` (the paper's 100 KB range queries) for every legacy
+engine plus the named composed points, so the range-scan data path
+(DB-cache, OS-cache and dual wirings; the sm, hbase and composed scan
+sites) is pinned too.  It was recorded before the one-pass scan
+rebuild.
+
 Regenerate (only when a change is *supposed* to alter engine behaviour,
 and say so in the commit message)::
 
-    PYTHONPATH=src:tests python -m golden_engines
+    PYTHONPATH=src:tests python -m golden_engines point
+    PYTHONPATH=src:tests python -m golden_engines scan
 
 The run recipe deliberately mirrors ``test_kernel_differential._run``:
 ``paper_scaled(2048)``, the RangeHot driver, and a live event subscriber
@@ -23,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 from repro.config import SystemConfig
@@ -31,6 +41,7 @@ from repro.sim.experiment import build_engine, preload
 from repro.workload.ycsb import RangeHotWorkload
 
 GOLDEN_PATH = Path(__file__).parent / "golden_engine_digests.json"
+GOLDEN_SCAN_PATH = Path(__file__).parent / "golden_scan_digests.json"
 
 _SEED_CORPUS = json.loads((Path(__file__).parent / "seeds.json").read_text())
 SEEDS = _SEED_CORPUS["differential"]["seeds"]
@@ -58,8 +69,21 @@ LEGACY_ENGINES = (
     "hbase-nomajor",
 )
 
+#: Engines the scan leg pins: the legacy names plus the named composed
+#: design points, whose scans go through the composed engine's own
+#: scan site.
+SCAN_ENGINES = LEGACY_ENGINES + (
+    "design",
+    "tiering",
+    "tiering+buffer",
+    "lazy-leveling",
+    "lazy-leveling+buffer",
+)
 
-def run_digests(engine_name: str, seed: int) -> dict[str, str]:
+
+def run_digests(
+    engine_name: str, seed: int, scan_mode: bool = False
+) -> dict[str, str]:
     """Digest one driver run: lossless result dict + ordered events."""
     config = SystemConfig.paper_scaled(2048)
     setup = build_engine(engine_name, config)
@@ -72,6 +96,7 @@ def run_digests(engine_name: str, seed: int) -> dict[str, str]:
         setup.clock,
         workload=RangeHotWorkload(config),
         seed=seed,
+        scan_mode=scan_mode,
         kernel="batched",
     )
     result = driver.run(DURATION_S)
@@ -82,19 +107,30 @@ def run_digests(engine_name: str, seed: int) -> dict[str, str]:
     }
 
 
-def generate() -> dict:
+def generate(scan_mode: bool = False) -> dict:
+    engines = SCAN_ENGINES if scan_mode else LEGACY_ENGINES
     digests: dict[str, dict[str, dict[str, str]]] = {}
-    for engine_name in LEGACY_ENGINES:
+    for engine_name in engines:
         digests[engine_name] = {
-            str(seed): run_digests(engine_name, seed) for seed in SEEDS
+            str(seed): run_digests(engine_name, seed, scan_mode) for seed in SEEDS
         }
-    return {
-        "description": (
+    if scan_mode:
+        description = (
+            "SHA-256 digests of lossless RunResult.to_dict JSON and the "
+            "ordered event stream per engine x seed in scan_mode, "
+            "recorded before the one-pass range-scan rebuild.  "
+            "Regenerate with `PYTHONPATH=src:tests python -m "
+            "golden_engines scan`."
+        )
+    else:
+        description = (
             "SHA-256 digests of lossless RunResult.to_dict JSON and the "
             "ordered event stream per legacy engine x seed, recorded "
             "before the compaction design-space refactor.  Regenerate "
             "with `PYTHONPATH=src:tests python -m golden_engines`."
-        ),
+        )
+    return {
+        "description": description,
         "duration_s": DURATION_S,
         "scale": 2048,
         "digests": digests,
@@ -102,6 +138,10 @@ def generate() -> dict:
 
 
 if __name__ == "__main__":
-    payload = generate()
-    GOLDEN_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH}")
+    leg = sys.argv[1] if len(sys.argv) > 1 else "point"
+    if leg not in ("point", "scan"):
+        raise SystemExit("usage: python -m golden_engines [point|scan]")
+    path = GOLDEN_SCAN_PATH if leg == "scan" else GOLDEN_PATH
+    payload = generate(scan_mode=leg == "scan")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")

@@ -1,9 +1,12 @@
 """Unit tests for :mod:`repro.config`."""
 
+import random
+
 import pytest
 
 from repro.config import DEFAULT_SCALE, SystemConfig
 from repro.errors import ConfigError
+from repro.workload.ycsb import RangeHotWorkload
 
 
 class TestPaperConfig:
@@ -130,6 +133,19 @@ class TestValidation:
     def test_level0_must_hold_a_file(self):
         with pytest.raises(ConfigError):
             SystemConfig.tiny().replace(level0_size_kb=4, file_size_kb=8)
+
+    def test_scan_longer_than_key_space_rejected(self):
+        # At 60 keys a 100-pair scan's low key went negative: RangeHot
+        # produced (-40, 59) and scans returned fewer pairs than set.
+        with pytest.raises(ConfigError) as excinfo:
+            SystemConfig.paper_scaled(2048).replace(unique_keys=60)
+        assert "scan_length_pairs (100)" in str(excinfo.value)
+        assert "unique_keys (60)" in str(excinfo.value)
+
+    def test_scan_as_long_as_key_space_accepted(self):
+        config = SystemConfig.paper_scaled(2048).replace(unique_keys=100)
+        low, high = RangeHotWorkload(config).next_scan_range(random.Random(0))
+        assert (low, high) == (0, 99)
 
     def test_replace_returns_new_validated_instance(self, tiny_config):
         other = tiny_config.replace(size_ratio=8)

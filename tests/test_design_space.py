@@ -34,7 +34,9 @@ from repro.lsm.policy import (
 from repro.sim.experiment import ENGINE_SPECS, build_engine, run_experiment
 from tests.golden_engines import (
     GOLDEN_PATH,
+    GOLDEN_SCAN_PATH,
     LEGACY_ENGINES,
+    SCAN_ENGINES,
     SEEDS,
     run_digests,
 )
@@ -45,6 +47,13 @@ def golden() -> dict:
     import json
 
     return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_scan() -> dict:
+    import json
+
+    return json.loads(GOLDEN_SCAN_PATH.read_text())
 
 
 # ----------------------------------------------------------------------
@@ -66,6 +75,24 @@ def test_golden_covers_exactly_the_legacy_registry(golden):
     assert set(golden["digests"]) == set(LEGACY_ENGINES)
     # The proof must not silently widen or shrink with registry edits.
     assert set(LEGACY_ENGINES) <= set(ENGINE_SPECS)
+
+
+@pytest.mark.parametrize("engine_name", SCAN_ENGINES)
+def test_scan_mode_bit_identical(engine_name, golden_scan):
+    """Range scans (Fig. 10/11 mode) replay their pinned digests: the
+    scan data path may change how it computes, never what it returns,
+    charges, caches or publishes."""
+    pinned = golden_scan["digests"][engine_name]
+    for seed in SEEDS:
+        assert run_digests(engine_name, seed, scan_mode=True) == pinned[str(seed)], (
+            f"{engine_name} seed={seed} scan_mode diverged from its pinned "
+            "golden digests"
+        )
+
+
+def test_scan_golden_covers_exactly_the_scan_engines(golden_scan):
+    assert set(golden_scan["digests"]) == set(SCAN_ENGINES)
+    assert set(SCAN_ENGINES) <= set(ENGINE_SPECS)
 
 
 # ----------------------------------------------------------------------

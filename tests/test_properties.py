@@ -8,18 +8,19 @@ engines are made of.
 
 from __future__ import annotations
 
+import heapq
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.bloom import BloomFilter
 from repro.clock import VirtualClock
 from repro.config import SystemConfig
 from repro.sstable.builder import TableBuilder
-from repro.sstable.entry import Entry, value_for
-from repro.sstable.iterator import merge_entries
+from repro.sstable.entry import Entry, Kind, value_for
+from repro.sstable.iterator import merge_entries, merge_with_obsolete_count
 from repro.sstable.sorted_table import SortedTable
 from repro.sstable.sstable import FileIdSource
 from repro.sstable.superfile import SuperFileIdSource
@@ -113,6 +114,74 @@ def test_merge_entries_is_sorted_union(key_lists):
     assert [e.key for e in merged] == sorted(best)
     for entry in merged:
         assert entry.seq == best[entry.key]
+
+
+def _heap_merge(sources, drop_tombstones=False):
+    """Reference merge: the per-entry ``heapq`` k-way merge the sort
+    kernel replaced.  Heap items ``(key, -seq, source index, ...)``
+    surface each key's newest version first; older ones are skipped."""
+    heap = []
+    for tiebreak, source in enumerate(sources):
+        iterator = iter(source)
+        first = next(iterator, None)
+        if first is not None:
+            heap.append((first.key, -first.seq, tiebreak, first, iterator))
+    heapq.heapify(heap)
+    previous_key = None
+    while heap:
+        key, _, tiebreak, entry, iterator = heapq.heappop(heap)
+        following = next(iterator, None)
+        if following is not None:
+            heapq.heappush(
+                heap,
+                (following.key, -following.seq, tiebreak, following, iterator),
+            )
+        if key == previous_key:
+            continue
+        previous_key = key
+        if drop_tombstones and entry.is_tombstone:
+            continue
+        yield entry
+
+
+@st.composite
+def _merge_sources(draw):
+    """Sources drawn from one write history: every write has a unique
+    seq, each source keeps one version per key in key order, and one
+    write may sit in several sources (a buffer copy of a run's data)."""
+    writes = draw(
+        st.lists(st.tuples(st.integers(0, 12), st.booleans()), max_size=40)
+    )
+    pool = [
+        Entry(key, seq, Kind.DELETE if deleted else Kind.PUT)
+        for seq, (key, deleted) in enumerate(writes, start=1)
+    ]
+    sources = []
+    for _ in range(draw(st.integers(0, 5))):
+        picked = draw(st.lists(st.sampled_from(pool), max_size=12)) if pool else []
+        by_key: dict[int, Entry] = {}
+        for entry in picked:
+            by_key.setdefault(entry.key, entry)
+        sources.append(sorted(by_key.values()))
+    return sources
+
+
+@settings(max_examples=200, deadline=None)
+@given(sources=_merge_sources())
+@example(sources=[])
+@example(sources=[[], []])
+@example(sources=[[Entry(1, 5)], [Entry(1, 9), Entry(3, 2)], [Entry(1, 2)]])
+@example(sources=[[Entry(1, 3), Entry(2, 4)], [Entry(1, 7, Kind.DELETE)]])
+@example(sources=[[Entry(1, 3), Entry(4, 6)], [Entry(1, 3)], [Entry(4, 6)]])
+@pytest.mark.parametrize("drop_tombstones", [False, True])
+def test_merge_kernel_matches_heap_reference(sources, drop_tombstones):
+    """The sort kernel returns exactly the heap merge's sequence, and the
+    obsolete count is inputs minus outputs."""
+    expected = list(_heap_merge(sources, drop_tombstones))
+    assert merge_entries(sources, drop_tombstones) == expected
+    merged, obsolete = merge_with_obsolete_count(sources, drop_tombstones)
+    assert merged == expected
+    assert obsolete == sum(len(source) for source in sources) - len(expected)
 
 
 @settings(max_examples=40, deadline=None)
